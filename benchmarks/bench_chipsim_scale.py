@@ -6,7 +6,8 @@ execution paths — the PR-1 monolithic single-oversized-macro path
 ``fast`` kernel, the tiled grid with the ``turbo`` throughput kernel, and
 the tiled grid with the layer-level ``fused`` kernel (bit-identical to
 turbo) — and records images/s, tile matmuls/s, and the speedups to
-``BENCH_chipsim.json`` at the repository root.  The modeled chip metrics
+``BENCH_chipsim.json`` at the repository root, together with the time of
+each scenario's first (cold) chip build.  The modeled chip metrics
 (TOPS/W, FPS) of the tiled runs come from the co-report, i.e. from the
 counted activity of the timed pass itself.
 
@@ -62,7 +63,9 @@ def bench_scenario(name, rng):
     images = rng.random((IMAGES, *model.input_shape))
 
     sims = {}
+    build_seconds = []
     for key, tiling, method in PATHS:
+        start = time.perf_counter()
         sims[key] = ChipSimulator(
             model,
             design=DESIGN,
@@ -76,6 +79,7 @@ def bench_scenario(name, rng):
             calibration=CALIBRATION,
             name=name,
         )
+        build_seconds.append(time.perf_counter() - start)
 
     # The tiled "fast" kernel must reproduce the monolithic logits exactly.
     bit_identical = bool(
@@ -97,6 +101,10 @@ def bench_scenario(name, rng):
         "images": IMAGES,
         "bit_identical_fast": bit_identical,
         "bit_identical_fused": bit_identical_fused,
+        # The scenario's first chip build: characterise every cell, then
+        # program and precompile the layers.
+        "cold_build_s": build_seconds[0],
+        "cold_builds_per_s": 1.0 / build_seconds[0],
     }
     for key, _tiling, _method in PATHS:
         seconds, report = median_run_seconds(sims[key], images, REPEATS)
@@ -142,6 +150,8 @@ def test_chipsim_scale(benchmark):
                 f"{name} ({result['description']}): "
                 f"{result['total_macros']} macros, "
                 f"bit-identical fast path: {result['bit_identical_fast']}",
+                f"  cold build : {result['cold_build_s']:7.3f} s "
+                f"({result['cold_builds_per_s']:.3f} builds/s)",
                 f"  monolithic : {result['monolithic_s']:7.3f} s "
                 f"({result['monolithic_images_per_s']:7.2f} images/s)",
                 f"  tiled fast : {result['tiled_fast_s']:7.3f} s "

@@ -228,6 +228,8 @@ SCENARIO_SCHEMA = {
     "images": int,
     "bit_identical_fast": bool,
     "bit_identical_fused": bool,
+    "cold_build_s": float,
+    "cold_builds_per_s": float,
     "monolithic_s": float,
     "monolithic_images_per_s": float,
     "tiled_fast_s": float,

@@ -29,7 +29,8 @@ from ..devices.fefet import (
     DEFAULT_NFEFET_PARAMS,
     FeFET,
     FeFETParameters,
-    fefet_drain_current,
+    _gate_term,
+    _vds_current,
 )
 from ..devices.passives import CURFE_BASE_RESISTANCE, Resistor
 from ..devices.variation import VariationModel
@@ -91,6 +92,15 @@ class CurFeCellParameters:
         return self.common_mode_voltage / self.base_resistance
 
 
+#: Elements per block of :func:`curfe_series_currents`: large enough to
+#: amortise the per-call ufunc overhead, small enough that a block's work
+#: buffers stay in cache.
+_SOLVE_BLOCK = 8192
+
+#: Float work buffers of one block solve.
+_BUFFERS = 9
+
+
 def curfe_series_currents(
     total_drop,
     gate_voltage,
@@ -115,45 +125,102 @@ def curfe_series_currents(
     (FeFET current with the full drop across it); when the FeFET acts as a
     perfect switch the resistor limits entirely; otherwise bisection on the
     intermediate node voltage.
+
+    The flattened inputs are solved in blocks of :data:`_SOLVE_BLOCK`
+    elements.  Each block computes the FeFET gate term once (only the drain
+    voltage moves during the bisection) and runs the bisection in
+    preallocated buffers, so the working set stays cache-sized and every
+    element gets exactly the bits of an element-wise evaluation.
     """
-    total_drop = np.asarray(total_drop, dtype=float)
-    gate_voltage = np.asarray(gate_voltage, dtype=float)
-    source_voltage = np.asarray(source_voltage, dtype=float)
-    resistance = np.asarray(resistance, dtype=float)
-    vth = np.asarray(vth, dtype=float)
-    total_drop, gate_voltage, source_voltage, resistance, vth = np.broadcast_arrays(
-        total_drop, gate_voltage, source_voltage, resistance, vth
-    )
-
-    def mismatch(v_fefet: np.ndarray) -> np.ndarray:
-        i_resistor = (total_drop - v_fefet) / resistance
-        i_fefet = fefet_drain_current(
-            gate_voltage, source_voltage + v_fefet, source_voltage, vth, params
+    inputs = np.broadcast_arrays(
+        *(
+            np.asarray(a, dtype=float)
+            for a in (total_drop, gate_voltage, source_voltage, resistance, vth)
         )
-        return i_resistor - i_fefet
-
-    lo = np.zeros_like(total_drop)
-    hi = total_drop.copy()
-    f_lo = mismatch(lo)
-    f_hi = mismatch(hi)
-    # Elements with f_lo <= 0 (FeFET off) or f_hi >= 0 (resistor-limited)
-    # take a closed-form branch below; run the bisection only when some
-    # element actually needs it — the common scalar calls (unselected and
-    # stored-0 cells) skip the loop entirely.
-    if np.any((f_lo > 0) & (f_hi < 0)):
-        for _ in range(iterations):
-            mid = 0.5 * (lo + hi)
-            positive = mismatch(mid) > 0
-            lo = np.where(positive, mid, lo)
-            hi = np.where(positive, hi, mid)
-    v_fefet = 0.5 * (lo + hi)
-    bisected = (total_drop - v_fefet) / resistance
-    off_current = fefet_drain_current(
-        gate_voltage, source_voltage + total_drop, source_voltage, vth, params
     )
-    resistor_limited = total_drop / resistance
-    result = np.where(f_lo <= 0, off_current, np.where(f_hi >= 0, resistor_limited, bisected))
-    return np.where(total_drop <= 0, 0.0, result)
+    result = np.empty(inputs[0].shape)
+    flat = result.reshape(-1)
+    buffers = np.empty((_BUFFERS, min(flat.size, _SOLVE_BLOCK)))
+
+    def solve(block, bisect):
+        columns = [a.flat[block] for a in inputs]
+        return _solve_block(columns, flat[block], buffers, params, iterations, bisect=bisect)
+
+    # An element whose mismatch is NaN takes neither closed-form branch and
+    # keeps the bisected value, which depends on whether *any* element of
+    # the call bisects: a block holding such elements is redone once an
+    # active element turns up anywhere.
+    pending = []
+    any_active = False
+    for start in range(0, flat.size, _SOLVE_BLOCK):
+        block = slice(start, min(start + _SOLVE_BLOCK, flat.size))
+        active, undecided = solve(block, bisect=any_active)
+        if undecided and not (active or any_active):
+            pending.append(block)
+        any_active |= active
+    if any_active:
+        for block in pending:
+            solve(block, bisect=True)
+    return result
+
+
+def _solve_block(columns, out, buffers, params, iterations, *, bisect):
+    """Solve one contiguous block of the series operating point into ``out``.
+
+    ``columns`` are the block's (drop, gate, source, resistance, vth)
+    values.  The bisection runs when an element needs it, or when
+    ``bisect`` is set and an element has a NaN mismatch.  Returns
+    ``(any element active, any element with a NaN mismatch)``.
+    """
+    drop, gate_voltage, source, resistance, vth = columns
+    lo, hi, mid, vds, work, i_resistor, i_fefet, resistor_limited, off = (
+        row[: drop.size] for row in buffers
+    )
+    gate = _gate_term(gate_voltage, source, vth, params)
+
+    def currents(v_fefet, i_r, i_f):
+        """Resistor and FeFET currents with ``v_fefet`` across the FeFET."""
+        np.subtract(drop, v_fefet, out=i_r)
+        np.divide(i_r, resistance, out=i_r)
+        np.add(source, v_fefet, out=vds)
+        np.subtract(vds, source, out=vds)
+        _vds_current(gate, vds, params, out=i_f, work=work)
+
+    # At v_fefet = 0 the resistor current is the resistor-limited current;
+    # at v_fefet = drop the FeFET current is the off current.
+    lo.fill(0.0)
+    currents(lo, resistor_limited, i_fefet)
+    f_lo = resistor_limited - i_fefet
+    np.copyto(hi, drop)
+    currents(hi, i_resistor, off)
+    f_hi = i_resistor - off
+    # Elements with f_lo <= 0 (FeFET off) or f_hi >= 0 (resistor-limited)
+    # take a closed-form branch below and need no bisection.
+    fefet_off = f_lo <= 0
+    limited = f_hi >= 0
+    needs_bisection = (f_lo > 0) & (f_hi < 0)
+    active = bool(needs_bisection.any())
+    undecided = not np.all(fefet_off | limited | needs_bisection)
+    if active or (bisect and undecided):
+        positive = needs_bisection
+        negative = np.empty_like(positive)
+        for _ in range(iterations):
+            np.add(lo, hi, out=mid)
+            np.multiply(mid, 0.5, out=mid)
+            currents(mid, i_resistor, i_fefet)
+            # i_resistor - i_fefet > 0, without the subtraction.
+            np.greater(i_resistor, i_fefet, out=positive)
+            np.logical_not(positive, out=negative)
+            np.copyto(lo, mid, where=positive)
+            np.copyto(hi, mid, where=negative)
+    np.add(lo, hi, out=mid)
+    np.multiply(mid, 0.5, out=mid)
+    np.subtract(drop, mid, out=out)
+    np.divide(out, resistance, out=out)
+    np.copyto(out, resistor_limited, where=limited)
+    np.copyto(out, off, where=fefet_off)
+    np.copyto(out, 0.0, where=drop <= 0)
+    return active, undecided
 
 
 def characterise_curfe_cells(

@@ -26,6 +26,13 @@ which reduces to exponential subthreshold conduction for ``Vgs << Vth`` and
 to a square-law saturation current for ``Vgs >> Vth``, with a smooth
 triode-to-saturation transition in ``Vds``.  The same expression (with
 swapped voltage polarities) models the pFeFET.
+
+:func:`fefet_drain_current` evaluates it as a *gate term*
+``k * (n*vt)^2 * softplus^2`` — which depends only on ``Vgs - Vth`` and
+holds the costly ``exp``/``log1p`` — times the ``Vds`` factor, plus leakage,
+then clamped.  Solvers that sweep only the drain voltage of fixed devices
+(the CurFe series-resistor bisection) compute the gate term once per device
+and reuse it every step, and get the same bits as a full evaluation.
 """
 
 from __future__ import annotations
@@ -125,35 +132,64 @@ def fefet_drain_current(vg, vd, vs, vth, params: FeFETParameters) -> np.ndarray:
     Returns:
         Drain current magnitudes (A), broadcast over the inputs.
     """
-    p = params
-    vt = _THERMAL_VOLTAGE
-    n = p.subthreshold_ideality
     vg = np.asarray(vg, dtype=float)
     vd = np.asarray(vd, dtype=float)
     vs = np.asarray(vs, dtype=float)
     vth = np.asarray(vth, dtype=float)
+    return _vds_current(_gate_term(vg, vs, vth, params), vd - vs, params)
+
+
+def _gate_term(vg, vs, vth, params: FeFETParameters):
+    """The Vds-independent channel term ``k·(n·vt)²·softplus²`` (A).
+
+    Holds every transcendental of the model except the triode ``exp``, so a
+    solver sweeping only the drain voltage computes it once per device.
+    """
+    p = params
+    vt = _THERMAL_VOLTAGE
+    n = p.subthreshold_ideality
     vgs = vg - vs
-    vds = vd - vs
     if p.polarity == "n":
         overdrive = vgs - vth
     else:
         # pFeFET: conduction for Vgs below Vth (i.e. Vsg above |Vth|).
         overdrive = vth - vgs
-        vds = -vds
-    # Symmetric device: swap source and drain.
-    vds = np.where(vds < 0, -vds, vds)
     # Smooth subthreshold-to-strong-inversion interpolation with a
     # numerically safe softplus.
     x = overdrive / (n * vt)
     softplus = np.where(x > 40.0, x, np.log1p(np.exp(np.minimum(x, 40.0))))
-    channel = p.transconductance * (n * vt) ** 2 * softplus * softplus
+    return p.transconductance * (n * vt) ** 2 * softplus * softplus
+
+
+def _vds_current(gate, vds, params: FeFETParameters, out=None, work=None):
+    """Drain current (A) from a :func:`_gate_term` at drain-source voltage ``vds``.
+
+    Applies the source/drain swap, the triode-to-saturation transition,
+    channel-length modulation, the leakage floor and the compliance clamp.
+    With ``out`` and ``work`` (float buffers shaped like ``vds``) every step
+    runs in place — ``vds`` is overwritten — and the result lands in
+    ``out``; without them each step allocates, so scalars stay scalars.
+    """
+    p = params
+    vt = _THERMAL_VOLTAGE
+    v = vds if out is not None else None
+    if p.polarity == "p":
+        vds = np.negative(vds, out=v)
+    # Symmetric device: swap source and drain (either sign of a zero Vds
+    # gives the same current below).
+    vds = np.absolute(vds, out=v)
     # Triode-to-saturation transition and channel-length modulation.
-    channel = channel * (
-        (1.0 - np.exp(-vds / vt)) * (1.0 + p.channel_length_modulation * vds)
-    )
-    current = channel + p.leakage_current
+    triode = np.negative(vds, out=work)
+    triode = np.divide(triode, vt, out=work)
+    triode = np.exp(triode, out=work)
+    triode = np.subtract(1.0, triode, out=work)
+    clm = np.multiply(p.channel_length_modulation, vds, out=out)
+    clm = np.add(1.0, clm, out=out)
+    factor = np.multiply(triode, clm, out=work)
+    current = np.multiply(gate, factor, out=out)
+    current = np.add(current, p.leakage_current, out=out)
     # Compliance clamp: real FeFET read paths saturate.
-    return np.minimum(current, p.max_on_current)
+    return np.minimum(current, p.max_on_current, out=out)
 
 
 class FeFET:

@@ -24,15 +24,16 @@ jobs, worker processes, and whole sweep runs:
 
 Entries are ``.npz`` files written atomically (temp file + ``os.replace``),
 so racing worker processes at worst duplicate a computation — they never
-read a torn entry.  Everything here is best-effort: a cold or deleted cache
-only costs time, never changes results (guarded by the serial-vs-parallel
-bit-identity tests).
+read a torn entry.  Everything here is best-effort: a cold, deleted or
+corrupt cache only costs time, never changes results (guarded by the
+serial-vs-parallel bit-identity tests).
 """
 
 from __future__ import annotations
 
 import os
 import tempfile
+import zipfile
 from pathlib import Path
 from typing import Dict, Mapping, Optional
 
@@ -234,13 +235,27 @@ class SweepCache:
         return self.root / kind / f"{key}.npz"
 
     def get(self, kind: str, key: str) -> Optional[Dict[str, np.ndarray]]:
-        """Load an entry, counting the hit/miss; None when absent."""
+        """Load an entry, counting the hit/miss; None when absent.
+
+        An entry that fails to load (truncated, not a zip, unreadable)
+        counts as a miss, emits a ``cache_corrupt`` event and is deleted,
+        so the caller recomputes it and :meth:`put` writes it afresh.
+        """
         path = self._path(kind, key)
-        if not path.exists():
+        try:
+            with np.load(path) as bundle:
+                arrays = {name: bundle[name] for name in bundle.files}
+        except FileNotFoundError:
             self._count(kind, key, hit=False)
             return None
-        with np.load(path) as bundle:
-            arrays = {name: bundle[name] for name in bundle.files}
+        except (OSError, ValueError, zipfile.BadZipFile, EOFError) as error:
+            self._count(kind, key, hit=False)
+            if self.events is not None:
+                self.events.emit(
+                    "cache_corrupt", kind=kind, key=key, error=repr(error)
+                )
+            path.unlink(missing_ok=True)
+            return None
         self._count(kind, key, hit=True)
         return arrays
 

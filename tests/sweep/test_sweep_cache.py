@@ -49,6 +49,56 @@ class TestSweepCacheStore:
         assert leftovers == ["k.npz"]
 
 
+class _Events:
+    def __init__(self):
+        self.emitted = []
+
+    def emit(self, event, **fields):
+        self.emitted.append((event, fields))
+
+
+class TestCorruptEntries:
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda raw: raw[: len(raw) // 2],  # truncated mid-write
+            lambda raw: b"",  # empty file
+            lambda raw: b"not an npz at all",
+        ],
+    )
+    def test_corrupt_entry_is_a_counted_miss_and_removed(self, tmp_path, damage):
+        from repro.sweep.cache import _CACHE_EVENTS
+
+        events = _Events()
+        cache = SweepCache(tmp_path, events=events)
+        cache.put("programming", "k", {"a": np.arange(64.0), "b": np.ones(3)})
+        path = tmp_path / "programming" / "k.npz"
+        path.write_bytes(damage(path.read_bytes()))
+        misses_before = _CACHE_EVENTS.value(kind="programming", outcome="miss")
+
+        assert cache.get("programming", "k") is None
+        assert cache.misses["programming"] == 1
+        assert cache.hits["programming"] == 0
+        assert _CACHE_EVENTS.value(kind="programming", outcome="miss") == misses_before + 1
+        assert [event for event, _ in events.emitted] == ["cache_miss", "cache_corrupt"]
+        assert events.emitted[1][1]["kind"] == "programming"
+        assert not path.exists()
+
+        # The caller recomputes and rewrites; the next lookup hits.
+        cache.put("programming", "k", {"a": np.arange(64.0)})
+        np.testing.assert_array_equal(cache.get("programming", "k")["a"], np.arange(64.0))
+        assert cache.hits["programming"] == 1
+
+    def test_corrupt_layered_entry_reads_as_missing(self, tmp_path):
+        cache = SweepCache(tmp_path)
+        cache.put_layered("calibration", "k", {"conv1": {"high": np.ones(3)}})
+        path = tmp_path / "calibration" / "k.npz"
+        path.write_bytes(path.read_bytes()[:40])
+        assert cache.get_layered("calibration", "k") is None
+        assert cache.get_layered_shared("calibration", "k") is None
+        assert cache.misses["calibration"] == 2
+
+
 class TestCacheKeys:
     def test_programming_key_ignores_adc_and_calibration(self):
         base = InferenceConfig(backend="device", adc_bits=5, calibration="workload")

@@ -86,6 +86,28 @@ class TestCacheBehaviour:
         assert uncached.deterministic_records() == cold.deterministic_records()
         assert uncached.deterministic_records() == warm.deterministic_records()
 
+    def test_corrupt_programming_entry_is_recomputed(self, tmp_path):
+        spec = DEVICE_SPEC.subset(adc_bits=(5,), calibrations=("workload",))
+        clean = SweepRunner(spec, cache_dir=tmp_path).run()
+        (entry,) = (tmp_path / "programming").glob("*.npz")
+        with np.load(entry) as bundle:
+            intact = {name: bundle[name] for name in bundle.files}
+        raw = entry.read_bytes()
+        entry.write_bytes(raw[: len(raw) // 3])
+
+        rerun = SweepRunner(spec, cache_dir=tmp_path).run()
+        assert rerun.deterministic_records() == clean.deterministic_records()
+        (record,) = rerun.records
+        assert record["cache"]["programming"] == "miss"
+        with np.load(entry) as bundle:  # rewritten by the re-run
+            assert set(bundle.files) == set(intact)
+            for name in bundle.files:
+                np.testing.assert_array_equal(bundle[name], intact[name])
+
+        warm = SweepRunner(spec, cache_dir=tmp_path).run()
+        assert warm.records[0]["cache"]["programming"] == "hit"
+        assert warm.deterministic_records() == clean.deterministic_records()
+
     def test_variation_disabled_skips_programming_cache(self, tmp_path):
         from repro.devices.variation import NO_VARIATION
 

@@ -1,12 +1,13 @@
 """Chip-simulator scale: tiled macro-grid execution vs the monolithic path.
 
-Runs the :mod:`repro.chipsim` scenarios through four device-detailed
-execution paths — the PR-1 monolithic single-oversized-macro path
+Runs the :mod:`repro.chipsim` scenarios through three device-detailed
+execution paths — the monolithic single-oversized-macro path
 (``tiling="monolithic"``), the tiled macro grid with the bit-identical
-``fast`` kernel, the tiled grid with the ``turbo`` throughput kernel, and
-the tiled grid with the layer-level ``fused`` kernel (bit-identical to
-turbo) — and records images/s, tile matmuls/s, and the speedups to
-``BENCH_chipsim.json`` at the repository root, together with the time of
+per-tile ``fast`` plane kernel, and the tiled grid with the layer-level
+``turbo`` throughput kernel — and records images/s, tile matmuls/s, and
+the speedups (``speedup_turbo_vs_fast``: the per-tile plane path against
+the layer pipeline) to ``BENCH_chipsim.json`` at the repository root,
+together with the time of
 each scenario's first (cold) chip build.  The modeled chip metrics
 (TOPS/W, FPS) of the tiled runs come from the co-report, i.e. from the
 counted activity of the timed pass itself.
@@ -43,7 +44,6 @@ PATHS = (
     ("monolithic", "monolithic", "fast"),
     ("tiled_fast", "tiled", "fast"),
     ("tiled_turbo", "tiled", "turbo"),
-    ("tiled_fused", "tiled", "fused"),
 )
 
 
@@ -88,19 +88,14 @@ def bench_scenario(name, rng):
             sims["tiled_fast"].inference.forward(images),
         )
     )
-    # Warm the turbo and fused sims too, so every timed run starts from the
-    # same state (first-batch reference calibration done, like the two
-    # above) — and check fused against turbo while we are at it: the fused
-    # layer-level kernel must reproduce the turbo logits exactly.
-    turbo_logits = sims["tiled_turbo"].inference.forward(images)
-    fused_logits = sims["tiled_fused"].inference.forward(images)
-    bit_identical_fused = bool(np.array_equal(fused_logits, turbo_logits))
+    # Warm the turbo sim too, so every timed run starts from the same state
+    # (first-batch reference calibration done, like the two above).
+    sims["tiled_turbo"].inference.forward(images)
 
     record = {
         "description": scenario.description,
         "images": IMAGES,
         "bit_identical_fast": bit_identical,
-        "bit_identical_fused": bit_identical_fused,
         # The scenario's first chip build: characterise every cell, then
         # program and precompile the layers.
         "cold_build_s": build_seconds[0],
@@ -118,9 +113,8 @@ def bench_scenario(name, rng):
             record["calibrated_layers"] = sims[key].calibrated_layers()
     record["speedup_tiled_fast"] = record["monolithic_s"] / record["tiled_fast_s"]
     record["speedup_tiled_turbo"] = record["monolithic_s"] / record["tiled_turbo_s"]
-    record["speedup_tiled_fused"] = record["monolithic_s"] / record["tiled_fused_s"]
-    record["speedup_fused_vs_turbo"] = (
-        record["tiled_turbo_s"] / record["tiled_fused_s"]
+    record["speedup_turbo_vs_fast"] = (
+        record["tiled_fast_s"] / record["tiled_turbo_s"]
     )
     return record
 
@@ -158,11 +152,8 @@ def test_chipsim_scale(benchmark):
                 f"({result['speedup_tiled_fast']:.2f}x)",
                 f"  tiled turbo: {result['tiled_turbo_s']:7.3f} s "
                 f"({result['speedup_tiled_turbo']:.2f}x, "
+                f"{result['speedup_turbo_vs_fast']:.2f}x vs tiled fast, "
                 f"{result['tiles_per_s']:.0f} tiles/s)",
-                f"  tiled fused: {result['tiled_fused_s']:7.3f} s "
-                f"({result['speedup_tiled_fused']:.2f}x, "
-                f"{result['speedup_fused_vs_turbo']:.2f}x vs turbo, "
-                f"bit-identical to turbo: {result['bit_identical_fused']})",
                 f"  modeled    : {result['modeled_tops_per_watt']:.2f} TOPS/W, "
                 f"{result['modeled_fps']:.0f} FPS "
                 f"({result['calibrated_layers']} calibrated layers @ "
@@ -174,10 +165,9 @@ def test_chipsim_scale(benchmark):
 
     for name, result in record["scenarios"].items():
         assert result["bit_identical_fast"], name
-        assert result["bit_identical_fused"], name
     if not TINY:
-        # Acceptance: the parallel tiled path is >=2x the monolithic path on
-        # the deeper-CNN scenario, and the fused layer-level kernel is >=3x
-        # the per-tile turbo kernel on the same workload.
+        # Acceptance: the tiled turbo path is >=2x the monolithic path on
+        # the deeper-CNN scenario, and the layer-level turbo kernel is >=3x
+        # the per-tile fast plane kernel on the same workload.
         assert record["scenarios"]["deep_cnn"]["speedup_tiled_turbo"] >= 2.0, record
-        assert record["scenarios"]["deep_cnn"]["speedup_fused_vs_turbo"] >= 3.0, record
+        assert record["scenarios"]["deep_cnn"]["speedup_turbo_vs_fast"] >= 3.0, record

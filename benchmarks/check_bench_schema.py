@@ -227,7 +227,6 @@ SCENARIO_SCHEMA = {
     "description": str,
     "images": int,
     "bit_identical_fast": bool,
-    "bit_identical_fused": bool,
     "cold_build_s": float,
     "cold_builds_per_s": float,
     "monolithic_s": float,
@@ -236,8 +235,6 @@ SCENARIO_SCHEMA = {
     "tiled_fast_images_per_s": float,
     "tiled_turbo_s": float,
     "tiled_turbo_images_per_s": float,
-    "tiled_fused_s": float,
-    "tiled_fused_images_per_s": float,
     "tiles_per_s": float,
     "total_macros": int,
     "modeled_tops_per_watt": float,
@@ -245,8 +242,7 @@ SCENARIO_SCHEMA = {
     "calibrated_layers": int,
     "speedup_tiled_fast": float,
     "speedup_tiled_turbo": float,
-    "speedup_tiled_fused": float,
-    "speedup_fused_vs_turbo": float,
+    "speedup_turbo_vs_fast": float,
 }
 
 

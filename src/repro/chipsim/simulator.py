@@ -175,10 +175,10 @@ class ChipSimulator:
             back to the analytic mapping — results are bit-identical
             either way).
         device_exec: Engine kernel name resolved through the
-            :mod:`repro.engine.kernels` registry — ``"exact"``, ``"fast"``
-            (default), ``"turbo"`` (throughput mode, ULP-class
-            differences), or ``"fused"`` (layer-level batched GEMM,
-            bit-identical to ``"turbo"``).
+            :mod:`repro.engine.kernels` registry — ``"turbo"`` (default;
+            layer-level batched GEMM pipeline, ``"fused"`` is its alias),
+            ``"fast"`` or ``"exact"`` (per-tile plane kernels; ``"turbo"``
+            differs from them by ULP-class voltages absorbed by the ADC).
         tile_workers: Worker threads per tiled layer matmul (0 = auto).
         calibration: ``"workload"`` (default) programs each layer's ADC
             reference bank from its first batch, which is what reaches the
@@ -210,7 +210,7 @@ class ChipSimulator:
         variation: VariationModel = DEFAULT_VARIATION,
         seed: int = 0,
         tiling: str = "tiled",
-        device_exec: str = "fast",
+        device_exec: str = "turbo",
         tile_workers: int = 0,
         calibration: str = "workload",
         calibration_samples: int = 4096,

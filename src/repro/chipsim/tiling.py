@@ -18,17 +18,23 @@ Per-block ADC results are therefore float-for-float those of the monolithic
 engine, and the cross-tile digital accumulation walks the blocks of all row
 tiles in **global block order**, reproducing the monolithic accumulation
 nesting exactly.  ``matmat`` results are bit-identical to one oversized
-macro for ``method="exact"`` and ``method="fast"`` alike; ``"turbo"``
-(cached BLAS operands) carries the engine's documented ULP-class caveat.
+macro for ``method="exact"`` and ``method="fast"`` alike.
+
+The default ``"turbo"`` kernel is layer-level: it runs one full-layer
+engine on the shared state instead of looping over the tiles, and sums its
+block totals in the same global block order, so the partial-sum
+accumulation and the activity counters are those of the tile grid; its
+voltages carry the engine's documented ULP-class caveat against
+``"fast"``.
 
 Parallelism
 -----------
 
-Tiles are independent until the final accumulation, so ``workers > 1`` runs
-their conversions in a thread pool (numpy releases the GIL inside the heavy
-kernels).  ``workers=0`` picks one thread per core and stays serial on
-single-core hosts, where the ``"turbo"`` per-tile kernel is the speed lever
-instead.
+For plane-level kernels tiles are independent until the final
+accumulation, so ``workers > 1`` runs their conversions in a thread pool
+(numpy releases the GIL inside the heavy kernels).  ``workers=0`` picks one
+thread per core and stays serial on single-core hosts.  The layer-level
+``"turbo"`` kernel does not use the pool.
 
 Activity counters
 -----------------
@@ -204,7 +210,7 @@ class TiledLayerEngine:
         self._padded_weights = padded
         self._reference_levels: Optional[Dict[str, np.ndarray]] = None
         # Lazily built full-layer engine backing the layer-level kernels
-        # (``method="fused"``); shares ``array_state`` with the tile views.
+        # (``method="turbo"``); shares ``array_state`` with the tile views.
         self._layer_engine: Optional[MacroEngine] = None
 
         # One characterisation pass for the whole layer, identical to the
@@ -417,7 +423,7 @@ class TiledLayerEngine:
 
     # --------------------------------------------------- compiled kernel plans
 
-    def precompile(self, device_exec: str = "fast") -> None:
+    def precompile(self, device_exec: str = "turbo") -> None:
         """Eagerly build every table the *device_exec* kernel will touch.
 
         Layer-level kernels precompile the full-layer engine (building it
@@ -432,7 +438,7 @@ class TiledLayerEngine:
             for engine in self._engines:
                 engine.precompile(device_exec)
 
-    def export_kernel_plan(self, device_exec: str = "fast") -> Dict[str, np.ndarray]:
+    def export_kernel_plan(self, device_exec: str = "turbo") -> Dict[str, np.ndarray]:
         """Precompile and export the layer's kernel tables as flat arrays.
 
         Keys are prefixed ``layer__`` (layer-level kernels, full-layer
@@ -508,7 +514,7 @@ class TiledLayerEngine:
         inputs: np.ndarray,
         *,
         bits: int,
-        method: str = "fast",
+        method: str = "turbo",
         batch_chunk: Optional[int] = None,
     ) -> np.ndarray:
         """Batched bit-serial MAC of many input vectors across the tile grid.
@@ -518,12 +524,12 @@ class TiledLayerEngine:
                 unsigned activation vector per column (unpadded; block
                 padding is applied internally).
             bits: Input precision (1..8).
-            method: ``"exact"`` / ``"fast"`` (both bit-identical to the
-                monolithic macro), ``"turbo"`` (per-tile BLAS kernel,
-                ULP-class differences), or ``"fused"`` (layer-level batched
-                kernel, bit-identical to turbo and fastest); any layer-level
-                kernel registered in :mod:`repro.engine.kernels` hoists the
-                per-tile loop the same way.
+            method: ``"exact"`` / ``"fast"`` (per-tile plane kernels, both
+                bit-identical to the monolithic macro) or ``"turbo"``
+                (default; layer-level batched kernel, ULP-class voltage
+                differences, fastest; ``"fused"`` is its alias); any
+                layer-level kernel registered in :mod:`repro.engine.kernels`
+                hoists the per-tile loop the same way.
             batch_chunk: Input columns per internal engine chunk.
 
         Returns:

@@ -16,29 +16,41 @@ Two kernel granularities exist:
     The kernel reduces **one input bit plane** over the array rows and
     returns the per-column analog contributions; the engine then applies
     the shared readout pipeline (TIA / charge sharing, ADC, nibble
-    combine, shift-add) per plane.  ``"exact"``, ``"fast"`` and
-    ``"turbo"`` are plane kernels.
+    combine, shift-add) per plane.  ``"exact"`` and ``"fast"`` are plane
+    kernels.
 
 ``level="layer"``
     The kernel consumes the **whole batch of input values** at once and
     returns the per-block digital totals directly, free to reorganise the
-    entire pipeline for throughput.  ``"fused"`` (and the optional
-    ``"numba"`` variant) are layer kernels: they pack all bit planes into
-    stacked GEMM operands, run one BLAS call per 32-row block against
-    tables whose four physical columns are pre-combined where the design
-    allows it, and quantise/combine/shift-add with in-place array ops over
-    cache-resident block slices.
+    entire pipeline for throughput.  ``"turbo"`` — the default of every
+    entry point — is the layer kernel: it packs all bit planes into stacked
+    GEMM operands, runs one BLAS call per 32-row block against tables whose
+    four physical columns are pre-combined where the design allows it
+    (CurFe sums its columns before the TIA), and quantises, nibble-combines
+    and shift-adds with in-place array ops over cache-resident block
+    slices — the macro's own partial-MAC-per-block pipeline.
+
+Aliases
+-------
+
+A kernel may be registered under extra names (:func:`register_kernel`'s
+``aliases``); ``"fused"`` is an alias of ``"turbo"``.  Aliases resolve to
+the one :class:`Kernel` object, and :func:`validate_device_exec` returns
+the canonical name, so configs, job ids, cache keys, metric labels and
+trace spans all say ``"turbo"``.
 
 Exactness
 ---------
 
-``"fused"`` reproduces ``"turbo"`` bit for bit on both designs, calibrated
-and uncalibrated, tiled and monolithic: every floating-point difference it
+``"turbo"`` reproduces the per-plane BLAS reduction it replaced (kept as a
+test-only oracle) bit for bit on both designs, calibrated and
+uncalibrated, tiled and monolithic: every floating-point difference it
 introduces lives in the analog voltage *before* ADC quantisation and is at
 ULP scale, far below an LSB (or the spacing of calibrated reference
 levels), so the quantised codes — and everything digital after them — are
-identical.  The golden-equivalence suite (``tests/chipsim/
-test_fused_kernel.py``) asserts ``array_equal`` across the whole matrix.
+identical.  ``tests/chipsim/test_fused_kernel.py`` asserts ``array_equal``
+across the whole matrix.  Against ``"fast"`` (einsum row reduction) the
+differences are of the same ULP class.
 """
 
 from __future__ import annotations
@@ -49,6 +61,7 @@ from typing import Callable, Dict, Optional, Tuple
 import numpy as np
 
 from ..circuits.adc import CalibratedMACQuantizer
+from ..obs.tracer import get_tracer
 from .array_state import CURFE_DESIGN, NUM_COLUMNS
 
 __all__ = [
@@ -103,40 +116,54 @@ class Kernel:
 _REGISTRY: Dict[str, Kernel] = {}
 
 
-def register_kernel(kernel: Kernel, *, replace: bool = False) -> Kernel:
+def register_kernel(
+    kernel: Kernel, *, replace: bool = False, aliases: Tuple[str, ...] = ()
+) -> Kernel:
     """Add a kernel to the registry (the new backend hook).
 
     Args:
         kernel: The kernel to register.
         replace: Allow overwriting an existing registration.
+        aliases: Extra ``device_exec`` names resolving to the same kernel.
 
     Returns:
         The registered kernel.
     """
-    if not replace and kernel.name in _REGISTRY:
-        raise ValueError(
-            f"kernel {kernel.name!r} is already registered "
-            f"(pass replace=True to override)"
-        )
-    _REGISTRY[kernel.name] = kernel
+    names = (kernel.name, *aliases)
+    if not replace:
+        for name in names:
+            if name in _REGISTRY:
+                raise ValueError(
+                    f"kernel {name!r} is already registered "
+                    f"(pass replace=True to override)"
+                )
+    for name in names:
+        _REGISTRY[name] = kernel
     return kernel
 
 
 def unregister_kernel(name: str) -> Kernel:
-    """Remove a kernel registration (mainly for tests and plugins)."""
+    """Remove a kernel registration (mainly for tests and plugins).
+
+    Removing a canonical name also removes its aliases.
+    """
     try:
-        return _REGISTRY.pop(name)
+        kernel = _REGISTRY.pop(name)
     except KeyError:
         raise ValueError(f"kernel {name!r} is not registered") from None
+    if kernel.name == name:
+        for alias in [key for key, value in _REGISTRY.items() if value is kernel]:
+            del _REGISTRY[alias]
+    return kernel
 
 
 def registered_kernels() -> Tuple[str, ...]:
-    """Names of all registered kernels, in registration order."""
+    """Names (aliases included) of all registered kernels, in order."""
     return tuple(_REGISTRY)
 
 
 def get_kernel(name: str) -> Kernel:
-    """Look up a kernel by its ``device_exec`` name."""
+    """Look up a kernel by its ``device_exec`` name or alias."""
     try:
         return _REGISTRY[name]
     except KeyError:
@@ -147,18 +174,18 @@ def get_kernel(name: str) -> Kernel:
 
 
 def validate_device_exec(name: str) -> str:
-    """Validate a ``device_exec`` string against the registry.
+    """Validate a ``device_exec`` string; return its canonical name.
 
     The one place every config surface (engine, inference config, chip
     simulator, sweep, serve) funnels through, so a typo always produces the
-    same error listing the registered kernels.
+    same error listing the registered kernels, and an alias (``"fused"``)
+    is stored as the kernel it names (``"turbo"``).
     """
-    get_kernel(name)
-    return name
+    return get_kernel(name).name
 
 
 # --------------------------------------------------------------------------
-# Plane-level kernels: exact / fast / turbo row reductions.
+# Plane-level kernels: exact / fast row reductions.
 # --------------------------------------------------------------------------
 
 
@@ -180,21 +207,8 @@ def _fast_reduce(engine, plane, key: str) -> np.ndarray:
     )
 
 
-def _turbo_reduce(engine, plane, key: str) -> np.ndarray:
-    """BLAS gemm row reduction against cached difference tables."""
-    state = engine.state
-    difference_t, unselected_sum = engine._turbo_group_tables(key)
-    batch = plane.shape[0]
-    reduced = np.empty((batch, state.banks, state.num_block_rows, NUM_COLUMNS))
-    for j in range(state.num_block_rows):
-        reduced[:, :, j, :] = (plane[:, j] @ difference_t[j]).reshape(
-            batch, state.banks, NUM_COLUMNS
-        )
-    return unselected_sum[None] + reduced
-
-
 # --------------------------------------------------------------------------
-# Layer-level fused kernel.
+# Layer-level turbo kernel: the fused whole-batch pipeline.
 # --------------------------------------------------------------------------
 
 
@@ -205,8 +219,8 @@ def _fused_group_tables(engine, key: str) -> tuple:
     sum commutes (to ULP accuracy) with the row reduction and is folded
     into the table: ``D`` is (num_block_rows, block_rows, banks) and one
     gemm per block row yields the summed difference directly — a quarter
-    of the turbo FLOPs and an output that fits in cache.  ChgFe clips each
-    bitline before charge sharing, so its four columns stay separate:
+    of the per-column FLOPs and an output that fits in cache.  ChgFe clips
+    each bitline before charge sharing, so its four columns stay separate:
     ``D`` is (4, num_block_rows, block_rows, banks), one small gemm per
     column.  ``U`` carries the matching unselected-row sums.
     """
@@ -240,13 +254,14 @@ def _calibrated_lut(quantizer: CalibratedMACQuantizer):
     """Bucketed index table for the calibrated nearest-level search.
 
     ``searchsorted`` over the threshold midpoints costs ~30 ns/element; at
-    fused-kernel throughput that dominates the whole pipeline.  This table
+    turbo-kernel throughput that dominates the whole pipeline.  This table
     maps a voltage to a uniform grid cell, looks up a conservative lower
     bound of its threshold index, and finishes with ``steps`` data-parallel
     ``index += (next_threshold < v)`` corrections.  The bounds are chosen
     so the result equals ``np.searchsorted(thresholds, v)`` *exactly* (one
     grid cell of slack on each side absorbs the float cell arithmetic), so
-    calibrated fused output stays bit-identical to the turbo path.
+    calibrated turbo output stays bit-identical to the quantiser's own
+    ``quantize_voltages``.
 
     Returns ``(start, steps, tmin, scale, ext)`` or None when the level
     set is degenerate (single level / zero span / clustered beyond
@@ -322,14 +337,16 @@ def _quantize_macs_inplace(quantizer, buf: np.ndarray) -> None:
 
 
 def fused_block_totals(engine, values: np.ndarray, bits: int) -> np.ndarray:
-    """Whole-batch fused pipeline: per-block totals in one pass.
+    """The ``"turbo"`` kernel: whole-batch fused pipeline, per-block totals.
 
     All ``bits`` input bit planes are packed into one stacked operand whose
     per-block slice is a zero-copy (bits*batch, block_rows) gemm input;
     each 32-row block then runs gemm → readout → ADC → nibble combine →
     shift-add entirely on cache-resident (bits*batch, banks) buffers with
-    in-place array ops.  Output matches ``MacroEngine._block_totals_chunk``
-    of the ``"turbo"`` kernel bit for bit (see module docstring).
+    in-place array ops.  Output matches the per-plane BLAS reduction plus
+    the engine's shared readout pipeline bit for bit (see module
+    docstring).  With tracing on, each block's ADC conversion of each
+    group is an ``adc_quantize`` span, as on the plane-kernel path.
 
     Args:
         engine: A programmed :class:`~repro.engine.MacroEngine`.
@@ -357,6 +374,13 @@ def fused_block_totals(engine, values: np.ndarray, bits: int) -> np.ndarray:
     stacked = planes.reshape(stacked_rows, num_block_rows, block_rows)
 
     keys = ("high", "low") if engine.weight_bits == 8 else ("high",)
+    groups = {key: state.group(key) for key in keys}
+    tables = {key: _fused_group_tables(engine, key) for key in keys}
+    quantizers = {
+        key: engine._calibrated.get(key) or engine._quantizers[key] for key in keys
+    }
+    tracer = get_tracer()
+    traced = tracer.enabled
     macs = {key: np.empty((stacked_rows, banks)) for key in keys}
     bitlines = (
         None if curfe else [np.empty((stacked_rows, banks)) for _ in range(NUM_COLUMNS)]
@@ -367,8 +391,8 @@ def fused_block_totals(engine, values: np.ndarray, bits: int) -> np.ndarray:
     for j in range(num_block_rows):
         operand = stacked[:, j, :]
         for key in keys:
-            group = state.group(key)
-            table, offsets = _fused_group_tables(engine, key)
+            group = groups[key]
+            table, offsets = tables[key]
             out = macs[key]
             if curfe:
                 np.matmul(operand, table[j], out=out)
@@ -390,8 +414,13 @@ def fused_block_totals(engine, values: np.ndarray, bits: int) -> np.ndarray:
                 np.add(out, bitlines[2], out=out)
                 np.add(out, bitlines[3], out=out)
                 np.divide(out, group.capacitance_total[:, j], out=out)
-            quantizer = engine._calibrated.get(key) or engine._quantizers[key]
-            _quantize_macs_inplace(quantizer, out)
+            if traced:
+                with tracer.span(
+                    "adc_quantize", group=key, calibrated=key in engine._calibrated
+                ):
+                    _quantize_macs_inplace(quantizers[key], out)
+            else:
+                _quantize_macs_inplace(quantizers[key], out)
         combined = macs["high"]
         if engine.weight_bits == 8:
             np.multiply(combined, 16.0, out=combined)
@@ -404,106 +433,6 @@ def fused_block_totals(engine, values: np.ndarray, bits: int) -> np.ndarray:
             np.multiply(per_bit[bit], float(2**bit), out=plane_scaled)
             np.add(accumulator, plane_scaled, out=accumulator)
     return np.ascontiguousarray(block_totals.transpose(1, 2, 0))
-
-
-# --------------------------------------------------------------------------
-# Optional numba backend.
-# --------------------------------------------------------------------------
-
-
-def _register_numba_kernel() -> bool:
-    """Register the ``"numba"`` layer kernel when numba is importable.
-
-    The container CI image deliberately does not pin numba (see
-    ``requirements-ci.txt``); environments that have it get a jit-compiled
-    replacement for the per-block BLAS call, reusing the fused readout /
-    quantisation pipeline for everything after the row reduction.
-    """
-    try:  # pragma: no cover - exercised only where numba is installed
-        import numba
-    except ImportError:
-        return False
-
-    @numba.njit(cache=True, fastmath=False)  # pragma: no cover
-    def _reduce_block(operand, table, out):
-        rows, inner = operand.shape
-        cols = table.shape[1]
-        for i in range(rows):
-            for c in range(cols):
-                acc = 0.0
-                for k in range(inner):
-                    acc += operand[i, k] * table[k, c]
-                out[i, c] = acc
-
-    def _numba_block_totals(engine, values, bits):  # pragma: no cover
-        # Same structure as fused_block_totals with the gemm swapped for
-        # the jitted reduction; carries the same ULP-class caveat (the
-        # sequential dot order differs from BLAS, absorbed by the ADC).
-        state = engine.state
-        batch = values.shape[1]
-        num_block_rows, block_rows = state.num_block_rows, state.block_rows
-        banks = state.banks
-        stacked_rows = bits * batch
-        curfe = state.design == CURFE_DESIGN
-        planes = np.empty((bits, batch, num_block_rows, block_rows))
-        for bit in range(bits):
-            planes[bit] = ((values >> bit) & 1).T.reshape(
-                batch, num_block_rows, block_rows
-            )
-        stacked = planes.reshape(stacked_rows, num_block_rows, block_rows)
-        keys = ("high", "low") if engine.weight_bits == 8 else ("high",)
-        macs = {key: np.empty((stacked_rows, banks)) for key in keys}
-        lines = [np.empty((stacked_rows, banks)) for _ in range(NUM_COLUMNS)]
-        block_totals = np.empty((num_block_rows, batch, banks))
-        plane_scaled = np.empty((batch, banks))
-        for j in range(num_block_rows):
-            operand = np.ascontiguousarray(stacked[:, j, :])
-            for key in keys:
-                group = state.group(key)
-                table, offsets = _fused_group_tables(engine, key)
-                out = macs[key]
-                if curfe:
-                    _reduce_block(operand, table[j], out)
-                    np.add(out, offsets[j], out=out)
-                    np.multiply(out, group.feedback_resistance, out=out)
-                    np.add(out, state.tia_virtual_ground, out=out)
-                    np.clip(out, state.tia_clamp_low, state.tia_clamp_high, out=out)
-                else:
-                    for column in range(NUM_COLUMNS):
-                        line = lines[column]
-                        _reduce_block(operand, table[column, j], line)
-                        np.add(line, offsets[column, j], out=line)
-                        np.add(line, state.precharge_voltage, out=line)
-                        np.clip(line, 0.0, state.sign_supply_voltage, out=line)
-                        np.multiply(line, group.capacitance[:, j, column], out=line)
-                    np.add(lines[0], lines[1], out=out)
-                    np.add(out, lines[2], out=out)
-                    np.add(out, lines[3], out=out)
-                    np.divide(out, group.capacitance_total[:, j], out=out)
-                quantizer = engine._calibrated.get(key) or engine._quantizers[key]
-                _quantize_macs_inplace(quantizer, out)
-            combined = macs["high"]
-            if engine.weight_bits == 8:
-                np.multiply(combined, 16.0, out=combined)
-                np.add(combined, macs["low"], out=combined)
-            per_bit = combined.reshape(bits, batch, banks)
-            accumulator = block_totals[j]
-            accumulator[...] = 0.0
-            for bit in range(bits):
-                np.multiply(per_bit[bit], float(2**bit), out=plane_scaled)
-                np.add(accumulator, plane_scaled, out=accumulator)
-        return np.ascontiguousarray(block_totals.transpose(1, 2, 0))
-
-    register_kernel(
-        Kernel(
-            name="numba",
-            level="layer",
-            description="fused pipeline with a jit-compiled row reduction",
-            block_totals=_numba_block_totals,
-        ),
-        replace=True,
-    )
-    return True
 
 
 # --------------------------------------------------------------------------
@@ -530,19 +459,9 @@ register_kernel(
 register_kernel(
     Kernel(
         name="turbo",
-        level="plane",
-        description="cached-operand BLAS gemm row reduction",
-        reduce_plane=_turbo_reduce,
-    )
-)
-register_kernel(
-    Kernel(
-        name="fused",
         level="layer",
         description="whole-layer batched gemm + vectorised readout pipeline",
         block_totals=fused_block_totals,
-    )
+    ),
+    aliases=("fused",),
 )
-
-#: Whether the optional numba backend registered at import time.
-NUMBA_KERNEL_AVAILABLE = _register_numba_kernel()

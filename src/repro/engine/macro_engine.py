@@ -19,17 +19,15 @@ per-device path float for float (the golden-equivalence suite asserts
 this).  ``method="fast"`` replaces the row reduction with an ``einsum`` —
 typically a further large speedup at DNN scale, identical to within a few
 ULPs of analog voltage (which only matters for voltages landing exactly on
-an ADC decision boundary).  ``method="turbo"`` goes one step further and
-routes the same row reduction through BLAS ``dgemm`` against per-block
-transposed difference tables cached at programming time (weights are
-stationary), with the same ULP-class caveat as ``fast``.
-``method="fused"`` hoists the whole pipeline to layer level — all bit
-planes packed into stacked gemm operands, readout/ADC/combine/shift-add as
-in-place array ops per 32-row block — and is bit-identical to ``turbo``
-(the quantiser absorbs the ULP-scale voltage reordering; the golden suite
-asserts it).  Methods resolve through the pluggable registry in
-:mod:`repro.engine.kernels`; registering a new backend there makes it
-available everywhere a ``device_exec`` string is accepted.
+an ADC decision boundary).  ``method="turbo"`` (alias ``"fused"``) hoists
+the whole pipeline to layer level — all bit planes packed into stacked
+gemm operands against difference tables cached at programming time
+(weights are stationary), readout/ADC/combine/shift-add as in-place array
+ops per 32-row block — with the same ULP-class caveat as ``fast``; it is
+the throughput kernel and the default of every entry point.  Methods
+resolve through the pluggable registry in :mod:`repro.engine.kernels`;
+registering a new backend there makes it available everywhere a
+``device_exec`` string is accepted.
 
 Tiling support
 --------------
@@ -179,7 +177,6 @@ class MacroEngine:
         self._plan: Optional[WeightPlan] = None
         self._stored: Dict[str, np.ndarray] = {}
         self._selected: Dict[str, np.ndarray] = {}
-        self._turbo_tables: Dict[str, tuple] = {}
         self._fused_tables: Dict[str, tuple] = {}
         self._calibrated: Dict[str, CalibratedMACQuantizer] = {}
 
@@ -243,7 +240,6 @@ class MacroEngine:
         # replica stamped from a precompiled kernel plan never pays for it.
         self._stored = {}
         self._selected = {}
-        self._turbo_tables = {}
         self._fused_tables = {}
         # New stored pattern -> any workload calibration derived from the
         # previous pattern is stale; fall back to the nominal references.
@@ -279,32 +275,6 @@ class MacroEngine:
             self._selected[key] = contribution
         return contribution
 
-    def _turbo_group_tables(self, key: str) -> tuple:
-        """Cached per-block gemm operands for the stored pattern of a group.
-
-        Returns ``(difference_t, unselected_sum)`` where ``difference_t``
-        is one contiguous (num_block_rows, block_rows, banks*4) stack —
-        ``difference_t[j]`` is the right-hand operand of block row ``j`` —
-        and ``unselected_sum`` has shape (banks, num_block_rows, 4).  One
-        array per group keeps the operands exportable as a flat kernel
-        plan (and mappable zero-copy from a shared arena).
-        """
-        tables = self._turbo_tables.get(key)
-        if tables is None:
-            state = self.state
-            group = state.group(key)
-            difference = self.selected(key) - group.unselected
-            difference_t = np.ascontiguousarray(
-                difference.transpose(1, 2, 0, 3).reshape(
-                    state.num_block_rows,
-                    state.block_rows,
-                    state.banks * NUM_COLUMNS,
-                )
-            )
-            tables = (difference_t, group.unselected.sum(axis=2))
-            self._turbo_tables[key] = tables
-        return tables
-
     def program_weights(self, weights: np.ndarray) -> WeightPlan:
         """Encode and program a signed weight matrix of shape (rows, banks)."""
         weights = np.asarray(weights)
@@ -339,11 +309,10 @@ class MacroEngine:
         """Eagerly materialise every table the *device_exec* kernel needs.
 
         After this call the first request served by the engine runs the hot
-        path only — no lazy operand-table or LUT population.  Layer-level
-        kernels (``"fused"``/``"numba"``) get their fused gemm tables,
-        plane-level ``"turbo"`` its stacked difference tables, other plane
-        kernels the selected-contribution tensor; the bucketed calibrated-
-        search LUT is built for every calibrated quantiser.
+        path only — no lazy operand-table or LUT population.  The layer-level
+        ``"turbo"`` kernel gets its fused gemm tables, plane kernels the
+        selected-contribution tensor; the bucketed calibrated-search LUT is
+        built for every calibrated quantiser.
         """
         from . import kernels as _kernels
 
@@ -352,8 +321,6 @@ class MacroEngine:
         for key in self._group_keys():
             if kernel.level == "layer":
                 _kernels._fused_group_tables(self, key)
-            elif device_exec == "turbo":
-                self._turbo_group_tables(key)
             else:
                 self.selected(key)
         for quantizer in self._calibrated.values():
@@ -377,10 +344,6 @@ class MacroEngine:
                 table, offsets = self._fused_tables[key]
                 plan[f"{key}_table"] = table
                 plan[f"{key}_offsets"] = offsets
-            elif device_exec == "turbo":
-                difference_t, unselected_sum = self._turbo_tables[key]
-                plan[f"{key}_difference"] = difference_t
-                plan[f"{key}_unselected_sum"] = unselected_sum
             else:
                 plan[f"{key}_selected"] = self._selected[key]
         return plan
@@ -401,11 +364,6 @@ class MacroEngine:
                 self._fused_tables[key] = (
                     arrays[f"{key}_table"],
                     arrays[f"{key}_offsets"],
-                )
-            elif device_exec == "turbo":
-                self._turbo_tables[key] = (
-                    arrays[f"{key}_difference"],
-                    arrays[f"{key}_unselected_sum"],
                 )
             else:
                 self._selected[key] = arrays[f"{key}_selected"]
@@ -598,10 +556,9 @@ class MacroEngine:
             method: A kernel from :mod:`repro.engine.kernels` —
                 ``"exact"`` (bit-identical to column-stacked
                 :meth:`matvec`), ``"fast"`` (einsum row reduction,
-                ULP-level differences), ``"turbo"`` (cached-operand BLAS
-                gemm row reduction, same ULP-level caveat), or ``"fused"``
-                (layer-level batched pipeline, bit-identical to turbo,
-                fastest).
+                ULP-level differences), or ``"turbo"`` (layer-level batched
+                GEMM pipeline, same ULP-level caveat, fastest; ``"fused"``
+                is its alias).
             batch_chunk: Input columns processed per internal chunk; bounds
                 transient memory without affecting results.
 

@@ -51,8 +51,8 @@ class ServeConfig:
         adc_bits: SAR ADC resolution.
         device_exec: Device-backend kernel name from the
             :mod:`repro.engine.kernels` registry; ``"turbo"`` (default) is
-            the serving throughput mode and ``"fused"`` is the layer-level
-            batched variant (bit-identical, faster on large layers).
+            the layer-level batched throughput kernel, and an alias
+            (``"fused"``) is stored as its canonical name.
         calibration: ``"workload"`` (default) or ``"nominal"`` ADC
             reference placement, applied once at program-build time.
         seed: Programming-variation seed shared by every replica — equal
@@ -119,6 +119,9 @@ class ServeConfig:
     def __post_init__(self) -> None:
         if self.backend not in _BACKENDS:
             raise ValueError(f"backend must be one of {_BACKENDS}")
+        object.__setattr__(
+            self, "device_exec", validate_device_exec(self.device_exec)
+        )
         if self.pool not in POOL_MODES:
             raise ValueError(f"pool must be one of {POOL_MODES}")
         if self.program_transport not in PROGRAM_TRANSPORTS:

@@ -44,7 +44,7 @@ BACKENDS = ("device", "functional", "analytic")
 
 #: Canonical values of the axes a backend ignores (collapsed on expansion).
 _COLLAPSED_TILING = "tiled"
-_COLLAPSED_EXEC = "fast"
+_COLLAPSED_EXEC = "turbo"
 _COLLAPSED_CALIBRATION = "workload"
 
 
@@ -105,8 +105,9 @@ class SweepSpec:
         calibrations: ``"workload"`` / ``"nominal"`` axis (inference only).
         tilings: ``"tiled"`` / ``"monolithic"`` axis (device only).
         device_execs: Engine kernel names (device only), validated against
-            the :mod:`repro.engine.kernels` registry — e.g. ``"fast"``,
-            ``"turbo"``, ``"fused"``.
+            the :mod:`repro.engine.kernels` registry and stored by their
+            canonical name — e.g. ``"turbo"`` (default; ``"fused"`` is its
+            alias), ``"fast"``, ``"exact"``.
         images: Images per job.
         batch_size: Inference batch size.
         seed: Master seed — programming draws use it directly (so jobs that
@@ -125,7 +126,7 @@ class SweepSpec:
     adc_bits: Tuple[int, ...] = (5,)
     calibrations: Tuple[str, ...] = ("workload",)
     tilings: Tuple[str, ...] = ("tiled",)
-    device_execs: Tuple[str, ...] = ("fast",)
+    device_execs: Tuple[str, ...] = ("turbo",)
     images: int = 8
     batch_size: int = 128
     seed: int = 0
@@ -147,8 +148,11 @@ class SweepSpec:
         for backend in self.backends:
             if backend not in BACKENDS:
                 raise ValueError(f"backend must be one of {BACKENDS}, got {backend!r}")
-        for device_exec in self.device_execs:
-            validate_device_exec(device_exec)
+        object.__setattr__(
+            self,
+            "device_execs",
+            tuple(validate_device_exec(name) for name in self.device_execs),
+        )
         pairs = tuple(tuple(pair) for pair in self.precisions)
         if any(len(pair) != 2 for pair in pairs):
             raise ValueError("precisions entries must be (input_bits, weight_bits)")
@@ -316,7 +320,7 @@ SWEEP_SCHEMA = ConfigSchema(
                   doc="ADC calibration-mode axis (inference backends)"),
         FieldSpec("tilings", ("tiled",), to_payload=list, from_payload=_axis,
                   doc="device-backend layout axis"),
-        FieldSpec("device_execs", ("fast",), aliases=("kernels",),
+        FieldSpec("device_execs", ("turbo",), aliases=("kernels",),
                   to_payload=list, from_payload=_axis,
                   doc="device-kernel axis from the engine registry"),
         FieldSpec("images", 8, doc="workload images per job"),

@@ -85,10 +85,11 @@ class InferenceConfig:
         tiling: Device-backend execution layout — ``"tiled"`` (macro grid,
             default) or ``"monolithic"`` (single oversized macro).
         device_exec: Execution kernel of the device backend, resolved
-            against the :mod:`repro.engine.kernels` registry: ``"exact"``,
-            ``"fast"`` (default), ``"turbo"`` (cached BLAS operands;
-            ULP-class differences), or ``"fused"`` (layer-level batched
-            kernel, bit-identical to turbo, fastest).
+            against the :mod:`repro.engine.kernels` registry: ``"turbo"``
+            (default; layer-level batched GEMM pipeline, fastest),
+            ``"fast"`` (einsum row reduction; ULP-class voltage
+            differences from turbo) or ``"exact"``.  Aliases are stored
+            as their canonical name (``"fused"`` becomes ``"turbo"``).
         input_bits: Activation precision (unsigned, 1..8).
         weight_bits: Weight precision (signed, 4 or 8).
         adc_bits: ADC resolution; None disables ADC quantisation
@@ -117,7 +118,7 @@ class InferenceConfig:
     design: str = "curfe"
     backend: str = "functional"
     tiling: str = "tiled"
-    device_exec: str = "fast"
+    device_exec: str = "turbo"
     input_bits: int = 4
     weight_bits: int = 8
     adc_bits: Optional[int] = 5
@@ -134,7 +135,9 @@ class InferenceConfig:
             raise ValueError(f"backend must be one of {_BACKENDS}")
         if self.tiling not in _TILINGS:
             raise ValueError(f"tiling must be one of {_TILINGS}")
-        validate_device_exec(self.device_exec)
+        object.__setattr__(
+            self, "device_exec", validate_device_exec(self.device_exec)
+        )
         if self.calibration not in CALIBRATION_MODES:
             raise ValueError(f"calibration must be one of {CALIBRATION_MODES}")
         if self.calibration_samples < 1:
@@ -214,7 +217,7 @@ INFERENCE_SCHEMA = ConfigSchema(
                   doc="layer-matmul execution backend"),
         FieldSpec("tiling", "tiled", choices=_TILINGS,
                   doc="device-backend layout (macro grid vs one macro)"),
-        FieldSpec("device_exec", "fast", aliases=("kernel",),
+        FieldSpec("device_exec", "turbo", aliases=("kernel",),
                   validate=validate_device_exec,
                   doc="device-backend kernel from the engine registry"),
         FieldSpec("input_bits", 4, doc="activation precision (unsigned)"),

@@ -2,9 +2,10 @@
 
 Covers the registry API (lookup, registration, replacement, the ValueError
 that lists registered kernels on a typo), dispatch of a custom plane
-kernel through ``MacroEngine.matmat``, the bucketed-LUT calibrated search
-(exact ``searchsorted`` equality, the property the fused kernel's
-calibrated bit-identity rests on), and the optional numba backend.
+kernel through ``MacroEngine.matmat``, aliases (``"fused"`` resolves to
+the ``"turbo"`` kernel object), the bucketed-LUT calibrated search (exact
+``searchsorted`` equality, the property the turbo kernel's calibrated
+bit-identity rests on), and the invalidation of precompiled kernel plans.
 """
 
 import numpy as np
@@ -47,8 +48,8 @@ class TestRegistry:
     def test_get_kernel_levels(self):
         assert get_kernel("exact").level == "plane"
         assert get_kernel("fast").level == "plane"
-        assert get_kernel("turbo").level == "plane"
-        assert get_kernel("fused").level == "layer"
+        assert get_kernel("turbo").level == "layer"
+        assert get_kernel("fused") is get_kernel("turbo")
 
     def test_unknown_kernel_lists_registered_names(self):
         with pytest.raises(ValueError) as excinfo:
@@ -58,8 +59,9 @@ class TestRegistry:
         for name in registered_kernels():
             assert name in message
 
-    def test_validate_device_exec_round_trips(self):
-        assert validate_device_exec("fused") == "fused"
+    def test_validate_device_exec_returns_canonical_name(self):
+        assert validate_device_exec("turbo") == "turbo"
+        assert validate_device_exec("fused") == "turbo"
         with pytest.raises(ValueError, match="registered kernels"):
             validate_device_exec("nope")
 
@@ -71,7 +73,28 @@ class TestRegistry:
         kernel = get_kernel("turbo")
         with pytest.raises(ValueError, match="already registered"):
             register_kernel(kernel)
-        assert register_kernel(kernel, replace=True) is kernel
+        assert register_kernel(kernel, replace=True, aliases=("fused",)) is kernel
+        assert get_kernel("fused") is kernel
+
+    def test_alias_registration_and_removal(self):
+        fast = get_kernel("fast")
+        custom = Kernel(
+            name="fast_copy", level="plane", description="test copy of fast",
+            reduce_plane=fast.reduce_plane,
+        )
+        register_kernel(custom, aliases=("fast_alias",))
+        try:
+            assert validate_device_exec("fast_alias") == "fast_copy"
+            with pytest.raises(ValueError, match="already registered"):
+                register_kernel(
+                    Kernel(name="other", level="plane", description="x",
+                           reduce_plane=fast.reduce_plane),
+                    aliases=("fast_alias",),
+                )
+            assert "other" not in registered_kernels()
+        finally:
+            unregister_kernel("fast_copy")
+        assert "fast_alias" not in registered_kernels()
 
     def test_unregister_unknown_raises(self):
         with pytest.raises(ValueError, match="not registered"):
@@ -89,13 +112,13 @@ class TestRegistry:
 
 class TestCustomKernelDispatch:
     def test_registered_plane_kernel_is_dispatched(self):
-        """A plugged-in kernel reusing the turbo reduction must produce
-        turbo-identical output through the standard matmat entry point."""
-        turbo = get_kernel("turbo")
+        """A plugged-in kernel reusing the fast reduction must produce
+        fast-identical output through the standard matmat entry point."""
+        fast = get_kernel("fast")
         custom = Kernel(
-            name="turbo_alias", level="plane",
-            description="test alias of turbo",
-            reduce_plane=turbo.reduce_plane,
+            name="fast_alias", level="plane",
+            description="test alias of fast",
+            reduce_plane=fast.reduce_plane,
         )
         register_kernel(custom)
         try:
@@ -104,13 +127,13 @@ class TestCustomKernelDispatch:
             engine = build_engine(weights)
             inputs = rng.integers(0, 16, size=(64, 5))
             assert np.array_equal(
-                engine.matmat(inputs, bits=4, method="turbo_alias"),
-                engine.matmat(inputs, bits=4, method="turbo"),
+                engine.matmat(inputs, bits=4, method="fast_alias"),
+                engine.matmat(inputs, bits=4, method="fast"),
             )
         finally:
-            unregister_kernel("turbo_alias")
+            unregister_kernel("fast_alias")
         with pytest.raises(ValueError, match="registered kernels"):
-            engine.matmat(inputs, bits=4, method="turbo_alias")
+            engine.matmat(inputs, bits=4, method="fast_alias")
 
 
 class TestCalibratedLut:
@@ -167,9 +190,9 @@ class TestPrecompiledPlanInvalidation:
     the precompiled operand tables and the calibrated-search LUT:
     ``program_weights`` invalidates everything, ``apply_reference_levels``
     swaps in fresh quantisers (hence fresh LUTs), ``clear_calibration``
-    reverts conversion to the nominal grid.  The pattern-derived fused /
-    turbo tables legitimately survive calibration changes — they depend
-    only on the programmed cell state.
+    reverts conversion to the nominal grid.  The pattern-derived turbo
+    tables and selected-contribution tensors legitimately survive
+    calibration changes — they depend only on the programmed cell state.
     """
 
     def _calibrated_engine(self, seed=3):
@@ -181,36 +204,36 @@ class TestPrecompiledPlanInvalidation:
 
     def test_precompile_materialises_all_tables(self):
         engine, _, _ = self._calibrated_engine()
-        assert not engine._turbo_tables and not engine._fused_tables
+        assert not engine._selected and not engine._fused_tables
+        engine.precompile("fast")
+        assert set(engine._selected) == set(engine._group_keys())
         engine.precompile("turbo")
-        assert set(engine._turbo_tables) == set(engine._group_keys())
-        engine.precompile("fused")
         assert set(engine._fused_tables) == set(engine._group_keys())
         for quantizer in engine._calibrated.values():
             assert kernels._LUT_ATTR in quantizer.__dict__
 
     def test_program_weights_invalidates_precompiled_state(self):
         engine, _, rng = self._calibrated_engine()
+        engine.precompile("fast")
         engine.precompile("turbo")
-        engine.precompile("fused")
         new_weights = rng.integers(-128, 128, size=(64, 8))
         engine.program_weights(new_weights)
-        assert not engine._turbo_tables
+        assert not engine._selected
         assert not engine._fused_tables
         assert not engine._calibrated
         # And the invalidated engine computes exactly what a never-
         # precompiled engine programmed with the new weights computes.
         fresh = build_engine(new_weights)
         inputs = rng.integers(0, 16, size=(64, 5))
-        for method in ("turbo", "fused"):
+        for method in ("fast", "turbo"):
             assert np.array_equal(
                 engine.matmat(inputs, bits=4, method=method),
                 fresh.matmat(inputs, bits=4, method=method),
             )
 
-    def test_apply_reference_levels_swaps_in_fresh_luts(self):
+    def test_apply_reference_levels_swaps_in_fresh_luts(self, turbo_oracle):
         engine, _, rng = self._calibrated_engine()
-        engine.precompile("fused")
+        engine.precompile("turbo")
         old = dict(engine._calibrated)
         assert all(kernels._LUT_ATTR in q.__dict__ for q in old.values())
         shifted = {k: v + 1.0 for k, v in engine.reference_levels.items()}
@@ -218,13 +241,13 @@ class TestPrecompiledPlanInvalidation:
         for key, quantizer in engine._calibrated.items():
             assert quantizer is not old[key]
             assert kernels._LUT_ATTR not in quantizer.__dict__
-        engine.precompile("fused")
-        # The rebuilt LUT must reproduce searchsorted semantics: fused
-        # (LUT path) equals turbo (direct quantiser path) bit for bit.
+        engine.precompile("turbo")
+        # The rebuilt LUT must reproduce searchsorted semantics: turbo
+        # (LUT path) equals the oracle (direct quantiser path) bit for bit.
         inputs = rng.integers(0, 16, size=(64, 5))
         assert np.array_equal(
-            engine.matmat(inputs, bits=4, method="fused"),
             engine.matmat(inputs, bits=4, method="turbo"),
+            engine.matmat(inputs, bits=4, method=turbo_oracle),
         )
 
     def test_clear_calibration_reverts_to_nominal(self):
@@ -234,7 +257,7 @@ class TestPrecompiledPlanInvalidation:
         engine.clear_calibration()
         assert not engine._calibrated
         nominal = build_engine(weights)
-        for method in ("turbo", "fused"):
+        for method in ("fast", "turbo"):
             assert np.array_equal(
                 engine.matmat(inputs, bits=4, method=method),
                 nominal.matmat(inputs, bits=4, method=method),
@@ -259,27 +282,3 @@ class TestPrecompiledPlanInvalidation:
             target.matmat(inputs, bits=4, method=device_exec),
             engine.matmat(inputs, bits=4, method=device_exec),
         )
-
-
-class TestNumbaKernel:
-    def test_numba_kernel_matches_turbo(self):
-        pytest.importorskip("numba")
-        assert kernels.NUMBA_KERNEL_AVAILABLE
-        assert "numba" in registered_kernels()
-        rng = np.random.default_rng(31)
-        weights = rng.integers(-128, 128, size=(64, 8))
-        engine = build_engine(weights)
-        inputs = rng.integers(0, 16, size=(64, 5))
-        assert np.array_equal(
-            engine.matmat(inputs, bits=4, method="numba"),
-            engine.matmat(inputs, bits=4, method="turbo"),
-        )
-
-    def test_registry_reflects_numba_availability(self):
-        try:
-            import numba  # noqa: F401
-            available = True
-        except ImportError:
-            available = False
-        assert kernels.NUMBA_KERNEL_AVAILABLE == available
-        assert ("numba" in registered_kernels()) == available

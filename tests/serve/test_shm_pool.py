@@ -13,12 +13,12 @@ loudly rather than silently copying.
 import dataclasses
 import os
 import signal
-import time
 
 import numpy as np
 import pytest
 
 import repro.engine.shm as shm_module
+from repro.engine import kernels
 from repro.serve import ChipProgram, ServeConfig, WorkerPool
 from repro.serve.worker import _memory_bytes
 
@@ -35,7 +35,7 @@ def shm_images(request_images):
 class TestTransportBitIdentity:
     @pytest.mark.parametrize("design", ["curfe", "chgfe"])
     @pytest.mark.parametrize("calibration", ["workload", "nominal"])
-    @pytest.mark.parametrize("device_exec", ["turbo", "fused"])
+    @pytest.mark.parametrize("device_exec", ["turbo", "fast"])
     def test_shm_equals_pickle_equals_offline(
         self, design, calibration, device_exec, shm_images
     ):
@@ -179,27 +179,49 @@ class TestTransportResolution:
             ServeConfig(program_transport="carrier-pigeon")
 
 
-class TestColdStartLatency:
-    def test_first_request_close_to_steady_state(
+def _lazy_kernel_state(chip):
+    """Every lazily built kernel table and calibrated LUT of a warm chip.
+
+    Per layer: whether the full-layer engine of the layer-level kernel
+    exists, and for it and every tile engine the group keys of its turbo
+    tables, selected-contribution and stored-bit tensors, and of the
+    calibrated quantisers that carry a bucketed-search LUT.
+    """
+    state = []
+    for name, layer in sorted(chip.engine._layers.items()):
+        tiled = layer.engine
+        for index, engine in enumerate([tiled._layer_engine, *tiled._engines]):
+            if engine is None:
+                state.append((name, index, None))
+                continue
+            luts = sorted(
+                key for key, quantizer in engine._calibrated.items()
+                if kernels._LUT_ATTR in quantizer.__dict__
+            )
+            state.append((
+                name, index, sorted(engine._fused_tables),
+                sorted(engine._selected), sorted(engine._stored), luts,
+            ))
+    return state
+
+
+class TestColdStart:
+    def test_first_request_builds_no_kernel_table(
         self, device_program, shm_images
     ):
-        """A precompiled warm chip has no lazy table population left: its
-        first request must sit within 1.5x of the steady-state median.
-        One retry absorbs scheduler noise on loaded single-core hosts."""
-        for attempt in range(2):
-            chip = device_program.instantiate()
-            start = time.perf_counter()
-            chip.predict(shm_images)
-            first_s = time.perf_counter() - start
-            steady = []
-            for _ in range(15):
-                start = time.perf_counter()
-                chip.predict(shm_images)
-                steady.append(time.perf_counter() - start)
-            ratio = first_s / float(np.median(steady))
-            if ratio <= 1.5:
-                break
-        assert ratio <= 1.5, f"first request {ratio:.2f}x steady-state median"
+        """A precompiled warm chip has no lazy table population left: the
+        first request of a fresh replica builds no kernel table and no
+        calibrated-search LUT."""
+        chip = device_program.instantiate()
+        before = _lazy_kernel_state(chip)
+        # The precompiled state is there to begin with: every layer's
+        # full-layer engine holds its turbo tables and calibrated LUTs.
+        for name, index, *tables in before:
+            if index == 0:
+                assert tables and tables[0] == ["high", "low"], name
+                assert tables[3] == ["high", "low"], name
+        chip.predict(shm_images)
+        assert _lazy_kernel_state(chip) == before
 
 
 class TestMemoryProbe:
